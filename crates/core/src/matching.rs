@@ -88,17 +88,20 @@ impl Matching {
 
     /// The protocol's output: the set of matched edges
     /// `{{p, q} : inMM[q].p ∨ inMM[p].q}` of a configuration, each edge
-    /// reported once.
+    /// reported once as `(p, q)` with `p < q`, in increasing `p` and then
+    /// port order.
     pub fn output(&self, graph: &Graph, config: &[MatchingState]) -> Vec<(NodeId, NodeId)> {
         let mut edges = Vec::new();
         for p in graph.nodes() {
             for (port, q) in graph.ports(p) {
                 // The edge {p, q} is matched when inMM[q].p ∨ inMM[p].q.
-                if self.in_mm(graph, config, p, port) || self.in_mm_towards(graph, config, q, p) {
-                    let key = if p < q { (p, q) } else { (q, p) };
-                    if !edges.contains(&key) {
-                        edges.push(key);
-                    }
+                // The condition is symmetric in p and q, so the edge is
+                // visited from its smaller endpoint only.
+                if p < q
+                    && (self.in_mm(graph, config, p, port)
+                        || self.in_mm_towards(graph, config, q, p))
+                {
+                    edges.push((p, q));
                 }
             }
         }
@@ -456,6 +459,64 @@ mod tests {
 
     fn protocol_for(graph: &Graph) -> Matching {
         Matching::with_greedy_coloring(graph)
+    }
+
+    /// The output as it was computed before the `p < q` filter: every
+    /// matched edge seen from either endpoint, deduplicated by a linear
+    /// search of the edges found so far.
+    fn output_by_contains_dedupe(
+        protocol: &Matching,
+        graph: &Graph,
+        config: &[MatchingState],
+    ) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for p in graph.nodes() {
+            for (port, q) in graph.ports(p) {
+                if protocol.in_mm(graph, config, p, port)
+                    || protocol.in_mm_towards(graph, config, q, p)
+                {
+                    let key = if p < q { (p, q) } else { (q, p) };
+                    if !edges.contains(&key) {
+                        edges.push(key);
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn output_equals_the_contains_dedupe_output() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut graphs = vec![generators::ring(12), generators::grid(4, 5)];
+        for n in [10, 30, 60] {
+            graphs.push(generators::gnp_connected(n, 0.15, &mut rng).unwrap());
+            graphs.push(generators::random_tree(n, &mut rng));
+        }
+        let mut nonempty = 0;
+        for (i, graph) in graphs.iter().enumerate() {
+            let protocol = protocol_for(graph);
+            for seed in 0..4 {
+                let mut sim = Simulation::new(
+                    graph,
+                    protocol.clone(),
+                    DistributedRandom::new(0.5),
+                    seed * 100 + i as u64,
+                    SimOptions::default(),
+                );
+                // Arbitrary configuration, then the stabilized one.
+                for _ in 0..2 {
+                    let config = sim.config_vec();
+                    let expected = output_by_contains_dedupe(&protocol, graph, &config);
+                    nonempty += usize::from(!expected.is_empty());
+                    assert_eq!(protocol.output(graph, &config), expected, "{graph}");
+                    assert!(sim.run_until_silent(400_000).silent);
+                }
+            }
+        }
+        assert!(nonempty > 0, "some configuration must match an edge");
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn assert_layout_equivalence<P: Protocol>(
         for step in 0..9 {
             let expected_outcome = baseline.sim.step();
             let expected_config = baseline.sim.config_vec();
-            let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
+            let expected_flags = baseline.sim.enabled_set().to_flags();
             let expected_silent = baseline.sim.is_silent();
             let expected_legit = baseline.sim.is_legitimate();
             for lane in &mut soa_lanes {
@@ -127,8 +127,8 @@ fn assert_layout_equivalence<P: Protocol>(
                     lane.label
                 );
                 assert_eq!(
-                    lane.sim.enabled_set().as_flags(),
-                    &expected_flags[..],
+                    lane.sim.enabled_set().to_flags(),
+                    expected_flags,
                     "{name}/{}: enabled flags diverged at cycle {cycle} step {step}",
                     lane.label
                 );

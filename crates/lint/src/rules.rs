@@ -95,6 +95,8 @@ impl Family {
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/runtime/src/executor.rs",
     "crates/runtime/src/kernel.rs",
+    "crates/runtime/src/enabled.rs",
+    "crates/runtime/src/scheduler.rs",
     "crates/runtime/src/soa.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/telemetry/wire.rs",

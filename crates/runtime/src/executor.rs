@@ -67,6 +67,8 @@
 //! sets — is **byte-identical at every worker count** (locked down by the
 //! `parallel_step_equivalence` differential test).
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_graph::{Graph, NodeId, NodePartition, Port};
@@ -456,6 +458,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                     queue.extend(range.clone().map(NodeId::new)); // lint: allow(hot-alloc) — Range<usize> clone is a stack copy
                     queue
                 },
+                flips: Vec::with_capacity(range.len()),
                 staged: Vec::with_capacity(range.len()),
                 executed: Vec::with_capacity(range.len()),
                 read_log: Vec::new(), // lint: allow(hot-alloc) — constructor scratch; reused every step
@@ -750,6 +753,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             config: &self.config,
             comm_cache: &self.comm_cache,
             comm_slice: self.comm_cache.as_slice(),
+            enabled: &self.enabled,
             read_restriction: self.options.read_restriction.as_deref(),
             step: self.step,
             salt: self.activation_salt,
@@ -759,42 +763,34 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                 && self.protocol.has_bulk_guard_kernel(),
             kernel_threshold: self.options.guard_kernel_threshold,
         };
-        let mut evaluations = 0u64;
-        let mut delta = 0isize;
-        if self.shards.len() == 1 {
+        let evaluations = if self.shards.len() == 1 {
             // Sequential fast path: one stack-allocated task over the full
             // arrays, no task list to build.
             let shard = &mut self.shards[0];
             let mut task = GuardTask {
-                node_base: 0,
+                nodes: 0..self.dirty.len(),
                 queue: &mut shard.dirty_queue,
                 dirty: &mut self.dirty,
-                enabled: self.enabled.flags_mut(),
+                flips: &mut shard.flips,
                 gather: &mut shard.gather,
                 guard_evaluations: 0,
-                enabled_delta: 0,
             };
             run_guard_task(&mut task, &ctx);
-            evaluations = task.guard_evaluations;
-            delta = task.enabled_delta;
+            task.guard_evaluations
         } else {
             let mut tasks = Vec::with_capacity(self.shards.len());
             let mut dirty_rest: &mut [bool] = &mut self.dirty;
-            let mut enabled_rest: &mut [bool] = self.enabled.flags_mut();
             for (s, scratch) in self.shards.iter_mut().enumerate() {
                 let range = self.partition.range(s);
                 let (dirty, rest) = dirty_rest.split_at_mut(range.len());
                 dirty_rest = rest;
-                let (enabled, rest) = enabled_rest.split_at_mut(range.len());
-                enabled_rest = rest;
                 tasks.push(GuardTask {
-                    node_base: range.start,
+                    nodes: range,
                     queue: &mut scratch.dirty_queue,
                     dirty,
-                    enabled,
+                    flips: &mut scratch.flips,
                     gather: &mut scratch.gather,
                     guard_evaluations: 0,
-                    enabled_delta: 0,
                 });
             }
             if self.step_workers > 1 && total_dirty >= self.options.parallel_work_threshold {
@@ -806,13 +802,15 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                     run_guard_task(task, &ctx);
                 }
             }
-            for task in &tasks {
-                evaluations += task.guard_evaluations;
-                delta += task.enabled_delta;
-            }
-        }
+            tasks.iter().map(|task| task.guard_evaluations).sum()
+        };
         self.guard_evaluations += evaluations;
-        self.enabled.apply_count_delta(delta);
+        // The tasks only read the set; their staged flips land here, in
+        // shard order, once every task has joined.
+        for shard in &mut self.shards {
+            self.enabled.apply_flips(&shard.flips);
+            shard.flips.clear();
+        }
         if let (Some(m), Some(started)) = (metrics, phase_started) {
             m.phase(StepPhase::GuardRefresh)
                 .record(total_dirty as u64, started.elapsed());
@@ -874,12 +872,15 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
                     self.protocol.is_enabled(self.graph, p, state, &view)
                 }));
             }
-            debug_assert_eq!(
-                self.enabled.as_flags(),
-                &reference[..],
+            debug_assert!(
+                reference
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &e)| self.enabled.is_enabled(NodeId::new(i)) == e),
                 "incremental enabled set diverged from full recomputation at step {}",
                 self.step
             );
+            self.enabled.assert_index_consistent();
             self.debug_enabled_scratch = reference;
             self.debug_comm_scratch = comm_rows;
         }
@@ -948,6 +949,7 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
             config: &self.config,
             comm_cache: &self.comm_cache,
             comm_slice: self.comm_cache.as_slice(),
+            enabled: &self.enabled,
             read_restriction: self.options.read_restriction.as_deref(),
             step,
             salt: self.activation_salt,
@@ -1246,6 +1248,9 @@ impl<'g, P: Protocol, S: Scheduler> Simulation<'g, P, S> {
 struct ShardScratch<P: Protocol> {
     /// The shard's slice of the dirty set (each process listed once).
     dirty_queue: Vec<NodeId>,
+    /// Enabled-set flips staged by phase A, applied after the tasks join.
+    /// At most one per dirty node, so the shard size bounds it.
+    flips: Vec<NodeId>,
     /// Staged updates `(process, state, comm, comm_changed)` awaiting the
     /// merge phase.
     staged: Vec<(NodeId, P::State, P::Comm, bool)>,
@@ -1281,6 +1286,9 @@ struct StepContext<'a, P: Protocol> {
     /// Cached `comm_cache.as_slice()`: `Some` selects the borrowed-slice
     /// views (AoS), `None` the lazily gathered views (SoA).
     comm_slice: Option<&'a [P::Comm]>,
+    /// The maintained enabled set as of the start of the step: phase A
+    /// reads current verdicts from it and stages changes per shard.
+    enabled: &'a EnabledSet,
     read_restriction: Option<&'a [Vec<Port>]>,
     step: u64,
     salt: u64,
@@ -1313,30 +1321,36 @@ impl<'a, P: Protocol> StepContext<'a, P> {
 }
 
 /// One shard's guard-refresh work item: drain the shard's dirty queue
-/// against its disjoint windows of the dirty and enabled-flag arrays.
+/// against its window of the dirty flags, staging changed verdicts on the
+/// shard's flip list.
 struct GuardTask<'a, C> {
-    node_base: usize,
+    /// The global node range of the shard (`dirty[0]` is `nodes.start`).
+    nodes: Range<usize>,
     queue: &'a mut Vec<NodeId>,
     dirty: &'a mut [bool],
-    enabled: &'a mut [bool],
+    /// The shard's staged enabled-set flips (see [`EnabledWriter`]).
+    flips: &'a mut Vec<NodeId>,
     /// Neighbor-decode scratch for the columnar layout (the owning shard's).
     gather: &'a mut GatherBuffer<C>,
     guard_evaluations: u64,
-    enabled_delta: isize,
 }
 
 fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_, P::Comm>, ctx: &StepContext<'_, P>) {
+    let base = task.nodes.start;
     // Bulk path: hand the whole batch to the protocol's columnar kernel.
-    // The writer replicates the scalar flag-flip/delta bookkeeping below
-    // and the executor charges one evaluation per dequeued node either
-    // way, so the two paths are observably identical. A declined batch
-    // (row-layout store, or no kernel for this store shape) falls through
-    // to the scalar loop, which re-clears the dirty flags harmlessly.
+    // It writes through the same writer as the scalar loop below and the
+    // executor charges one evaluation per dequeued node either way, so the
+    // two paths are observably identical. A declined batch (row-layout
+    // store, or no kernel for this store shape) drops whatever the kernel
+    // staged and falls through to the scalar loop, which re-clears the
+    // dirty flags harmlessly.
     if ctx.use_kernel && !task.queue.is_empty() && task.queue.len() >= ctx.kernel_threshold {
         for &p in task.queue.iter() {
-            task.dirty[p.index() - task.node_base] = false;
+            task.dirty[p.index() - base] = false;
         }
-        let mut writer = EnabledWriter::new(task.node_base, task.enabled);
+        let staged = task.flips.len();
+        let mut writer =
+            EnabledWriter::new(task.nodes.start..task.nodes.end, ctx.enabled, task.flips);
         if ctx.protocol.refresh_guards_bulk(
             ctx.graph,
             ctx.config,
@@ -1345,15 +1359,15 @@ fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_, P::Comm>, ctx: &StepCont
             &mut writer,
         ) {
             task.guard_evaluations += task.queue.len() as u64;
-            task.enabled_delta += writer.delta();
             task.queue.clear();
             return;
         }
+        task.flips.truncate(staged);
     }
+    let mut writer = EnabledWriter::new(task.nodes.start..task.nodes.end, ctx.enabled, task.flips);
     for i in 0..task.queue.len() {
         let p = task.queue[i];
-        let local = p.index() - task.node_base;
-        task.dirty[local] = false;
+        task.dirty[p.index() - base] = false;
         let now_enabled = match ctx.comm_slice {
             Some(comm) => {
                 let view = ctx.restrict(p, NeighborView::from_snapshot(ctx.graph, p, comm, false));
@@ -1376,11 +1390,7 @@ fn run_guard_task<P: Protocol>(task: &mut GuardTask<'_, P::Comm>, ctx: &StepCont
             }
         };
         task.guard_evaluations += 1;
-        let flag = &mut task.enabled[local];
-        if *flag != now_enabled {
-            task.enabled_delta += if now_enabled { 1 } else { -1 };
-            *flag = now_enabled;
-        }
+        writer.write(p, now_enabled);
     }
     task.queue.clear();
 }
@@ -1981,7 +1991,7 @@ mod tests {
         );
         for _ in 0..200 {
             let reference = sim.recompute_enabled_reference();
-            assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
+            assert_eq!(sim.enabled_set().to_flags(), reference);
             sim.step();
         }
         // Once silent, nothing is enabled and nothing is dirty.
@@ -2068,7 +2078,7 @@ mod tests {
         // Drop a smaller value into process 4: its neighbors become enabled.
         sim.set_state(NodeId::new(4), 0);
         let reference = sim.recompute_enabled_reference();
-        assert_eq!(sim.enabled_set().as_flags(), &reference[..]);
+        assert_eq!(sim.enabled_set().to_flags(), reference);
         assert!(
             sim.enabled_set().count() > 0,
             "the fault re-enabled the neighborhood"

@@ -8,41 +8,47 @@
 //! [`Protocol::refresh_guards_bulk`](crate::protocol::Protocol::refresh_guards_bulk)
 //! and evaluate the whole dirty batch with word-parallel bit operations and
 //! branch-light column scans. The kernel reports each verdict through an
-//! [`EnabledWriter`], which replicates the executor's flag-flip and delta
-//! accounting exactly — so the maintained enabled set, `RunStats`, traces
-//! and replay stay byte-identical to the scalar path.
+//! [`EnabledWriter`] — the same writer the scalar loop uses — so the
+//! maintained enabled set, `RunStats`, traces and replay stay
+//! byte-identical to the scalar path.
+
+use std::ops::Range;
 
 use selfstab_graph::NodeId;
 
-/// Write cursor over one shard's enabled flags, handed to bulk guard
-/// kernels by the executor.
+use crate::enabled::EnabledSet;
+
+/// Write cursor over one shard's guard verdicts, used by phase A's scalar
+/// loop and handed to bulk guard kernels by the executor.
 ///
-/// The executor maintains the enabled set incrementally: a per-node `bool`
-/// flag plus a running count. A kernel reports the guard verdict of every
-/// dirty node it was given through [`write`](Self::write); the writer flips
-/// the flag only when the verdict changed and accumulates the count delta,
-/// mirroring the scalar path's bookkeeping bit for bit. Verdicts may arrive
-/// in any order, but exactly one verdict per dirty node must be written —
-/// the executor charges one guard evaluation per node in the batch.
+/// Shards may share a packed word of the enabled set, so the set stays
+/// read-only while the shard tasks run: the writer stages a node on the
+/// shard's `flips` list (sized to the shard, so this never allocates) only
+/// when its verdict differs from the current set, and the executor applies
+/// the lists in shard order through [`EnabledSet::apply_flips`] after the
+/// join. Verdicts may arrive in any order, but exactly one verdict per
+/// dirty node must be written — the executor charges one guard evaluation
+/// per node in the batch.
 #[derive(Debug)]
 pub struct EnabledWriter<'a> {
-    /// Global index of the first node of the shard `flags` covers.
-    node_base: usize,
-    /// The shard's slice of the per-node enabled flags.
-    flags: &'a mut [bool],
-    /// Net change to the enabled count from the verdicts written so far.
-    delta: isize,
+    /// The global node range of the shard this writer covers.
+    nodes: Range<usize>,
+    /// The maintained enabled set, as of the start of the refresh.
+    enabled: &'a EnabledSet,
+    /// Nodes whose verdict differs from `enabled`, in write order.
+    flips: &'a mut Vec<NodeId>,
 }
 
 impl<'a> EnabledWriter<'a> {
-    /// Wraps a shard's flag slice. `node_base` is the global index of
-    /// `flags[0]`; kernels address nodes by their global [`NodeId`].
+    /// A writer for the shard covering `nodes`, reading current verdicts
+    /// from `enabled` and staging changed ones onto `flips`. Kernels
+    /// address nodes by their global [`NodeId`].
     #[must_use]
-    pub fn new(node_base: usize, flags: &'a mut [bool]) -> Self {
+    pub fn new(nodes: Range<usize>, enabled: &'a EnabledSet, flips: &'a mut Vec<NodeId>) -> Self {
         Self {
-            node_base,
-            flags,
-            delta: 0,
+            nodes,
+            enabled,
+            flips,
         }
     }
 
@@ -50,17 +56,14 @@ impl<'a> EnabledWriter<'a> {
     /// the shard this writer covers.
     #[inline]
     pub fn write(&mut self, p: NodeId, enabled: bool) {
-        let local = p.index() - self.node_base;
-        if self.flags[local] != enabled {
-            self.flags[local] = enabled;
-            self.delta += if enabled { 1 } else { -1 };
+        assert!(
+            self.nodes.contains(&p.index()),
+            "verdict for process {p} outside the shard {:?}",
+            self.nodes
+        );
+        if self.enabled.is_enabled(p) != enabled {
+            self.flips.push(p);
         }
-    }
-
-    /// Net change to the enabled count accumulated by this writer.
-    #[must_use]
-    pub fn delta(&self) -> isize {
-        self.delta
     }
 }
 
@@ -69,24 +72,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn write_flips_flags_and_tracks_the_delta() {
-        let mut flags = [false, true, false, true];
-        let mut writer = EnabledWriter::new(10, &mut flags);
-        writer.write(NodeId::new(10), true); // false -> true: +1
+    fn write_stages_only_changed_verdicts() {
+        let mut set = EnabledSet::new(14);
+        set.apply_flips(&[NodeId::new(11), NodeId::new(13)]);
+        let mut flips = Vec::with_capacity(4);
+        let mut writer = EnabledWriter::new(10..14, &set, &mut flips);
+        writer.write(NodeId::new(10), true); // false -> true
         writer.write(NodeId::new(11), true); // unchanged
         writer.write(NodeId::new(12), false); // unchanged
-        writer.write(NodeId::new(13), false); // true -> false: -1
-        assert_eq!(writer.delta(), 0);
-        writer.write(NodeId::new(12), true); // +1
-        assert_eq!(writer.delta(), 1);
-        assert_eq!(flags, [true, true, true, false]);
+        writer.write(NodeId::new(13), false); // true -> false
+        assert_eq!(flips, vec![NodeId::new(10), NodeId::new(13)]);
+        set.apply_flips(&flips);
+        assert_eq!(set.to_nodes(), vec![NodeId::new(10), NodeId::new(11)]);
+        assert_eq!(set.count(), 2);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "outside the shard")]
     fn out_of_shard_writes_panic() {
-        let mut flags = [false; 2];
-        let mut writer = EnabledWriter::new(4, &mut flags);
+        let set = EnabledSet::new(8);
+        let mut flips = Vec::new();
+        let mut writer = EnabledWriter::new(4..6, &set, &mut flips);
         writer.write(NodeId::new(3), true);
     }
 }

@@ -22,8 +22,9 @@ pub struct SchedulerContext<'a> {
     pub step: u64,
     /// The enabled set maintained incrementally by the executor: which
     /// processes have an enabled action in the current configuration, with
-    /// an `O(1)` cardinality. Schedulers consume this instead of a freshly
-    /// recomputed per-step vector.
+    /// an `O(1)` cardinality and membership test and an `O(n / 4096 + 64)`
+    /// rank query ([`EnabledSet::select`]). Schedulers consume this instead
+    /// of a freshly recomputed per-step vector.
     pub enabled: &'a EnabledSet,
 }
 
@@ -36,10 +37,11 @@ impl<'a> SchedulerContext<'a> {
     /// Iterates the identifiers of the currently enabled processes in
     /// increasing id order.
     ///
-    /// Allocation-free view over the maintained [`EnabledSet`] — this was
-    /// the last allocating accessor behind the select path (it used to
-    /// collect a fresh `Vec` per call). Callers that need an owned list
-    /// `collect()` explicitly.
+    /// Allocation-free view over the maintained [`EnabledSet`]: one load per
+    /// 64 processes plus one `trailing_zeros` per enabled process, so a
+    /// sparse set is walked in `O(n / 64 + count)`. Callers that need an
+    /// owned list `collect()` explicitly; callers that need the `r`-th
+    /// enabled process use [`EnabledSet::select`] instead of `nth(r)`.
     pub fn enabled_nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
         self.enabled.iter()
     }
@@ -188,10 +190,10 @@ impl Scheduler for CentralRandom {
         let n = ctx.node_count();
         assert!(n > 0, "CentralRandom cannot select from an empty system");
         if self.prefer_enabled && ctx.enabled.any() {
-            // The maintained enabled set makes this allocation-free: draw a
-            // rank among the enabled processes and walk to it.
+            // Draw a rank among the enabled processes and look it up in the
+            // set's rank index: no walk over the n processes.
             let rank = rng.gen_range(0..ctx.enabled.count());
-            if let Some(p) = ctx.enabled.iter().nth(rank) {
+            if let Some(p) = ctx.enabled.select(rank) {
                 out.push(p);
                 return;
             }
@@ -265,7 +267,7 @@ impl StarvingAdversary {
     /// Creates the adversary.
     pub fn new() -> Self {
         StarvingAdversary {
-            last_activation: Vec::new(),
+            last_activation: Vec::new(), // lint: allow(hot-alloc) — empty until the first select
         }
     }
 }
@@ -285,7 +287,7 @@ impl Scheduler for StarvingAdversary {
             "StarvingAdversary cannot select from an empty system"
         );
         if self.last_activation.len() != n {
-            self.last_activation = vec![0; n];
+            self.last_activation = vec![0; n]; // lint: allow(hot-alloc) — first-call sizing to the system
         }
         let chosen = ctx
             .enabled
@@ -312,8 +314,11 @@ impl Scheduler for StarvingAdversary {
 /// effect of neighbor concurrency.
 #[derive(Debug, Clone)]
 pub struct LocallyCentral {
-    /// `neighbors[p]` lists the neighbor indices of process `p`.
-    neighbors: Vec<Vec<usize>>,
+    /// The neighbors of process `p` are
+    /// `targets[offsets[p]..offsets[p + 1]]`: a flat copy of the graph's
+    /// adjacency, so the daemon owns its topology without a row per node.
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
     activation_prob: f64,
     /// Scratch: visit order of the greedy independent-set pass (reused
     /// across steps so selection stays allocation-free in steady state).
@@ -327,15 +332,19 @@ impl LocallyCentral {
     /// probability (clamped to `(0, 1]`).
     pub fn new(graph: &selfstab_graph::Graph, activation_prob: f64) -> Self {
         assert!(!activation_prob.is_nan(), "activation probability is NaN");
-        let neighbors = graph
-            .nodes()
-            .map(|p| graph.neighbors(p).map(|q| q.index()).collect())
-            .collect();
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        let mut targets = Vec::with_capacity(2 * graph.edge_count());
+        offsets.push(0);
+        for row in graph.adjacency() {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len());
+        }
         LocallyCentral {
-            neighbors,
+            offsets,
+            targets,
             activation_prob: activation_prob.clamp(f64::MIN_POSITIVE, 1.0),
-            order: Vec::new(),
-            kept: Vec::new(),
+            order: Vec::new(), // lint: allow(hot-alloc) — empty until the first select
+            kept: Vec::new(),  // lint: allow(hot-alloc) — empty until the first select
         }
     }
 }
@@ -359,11 +368,11 @@ impl Scheduler for LocallyCentral {
             if !rng.gen_bool(self.activation_prob) {
                 continue;
             }
-            let conflicts = self
-                .neighbors
-                .get(p)
-                .map(|ns| ns.iter().any(|&q| self.kept[q]))
-                .unwrap_or(false);
+            let conflicts = self.offsets.get(p + 1).is_some_and(|&end| {
+                self.targets[self.offsets[p]..end]
+                    .iter()
+                    .any(|q| self.kept[q.index()])
+            });
             if !conflicts {
                 self.kept[p] = true;
                 out.push(NodeId::new(p));
@@ -398,7 +407,7 @@ impl<S: Scheduler> Fair<S> {
         Fair {
             inner,
             window: window.max(1),
-            last_selected: Vec::new(),
+            last_selected: Vec::new(), // lint: allow(hot-alloc) — empty until the first select
         }
     }
 
@@ -416,14 +425,16 @@ impl<S: Scheduler> Scheduler for Fair<S> {
     fn select(&mut self, ctx: &SchedulerContext<'_>, rng: &mut dyn RngCore, out: &mut Vec<NodeId>) {
         let n = ctx.node_count();
         if self.last_selected.len() != n {
-            self.last_selected = vec![ctx.step; n];
+            self.last_selected = vec![ctx.step; n]; // lint: allow(hot-alloc) — first-call sizing to the system
         }
         self.inner.select(ctx, rng, out);
+        // The inner selection is sorted (scheduler contract), so overdue
+        // processes are looked up in it by binary search.
         let inner_len = out.len();
         for i in 0..n {
             if ctx.step.saturating_sub(self.last_selected[i]) >= self.window {
                 let p = NodeId::new(i);
-                if !out[..inner_len].contains(&p) {
+                if out[..inner_len].binary_search(&p).is_err() {
                     out.push(p);
                 }
             }

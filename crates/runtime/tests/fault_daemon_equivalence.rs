@@ -126,8 +126,8 @@ fn assert_fault_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S, d
             fast.step();
             reference.step();
             assert_eq!(
-                fast.enabled_set().as_flags(),
-                reference.enabled_set().as_flags(),
+                fast.enabled_set().to_flags(),
+                reference.enabled_set().to_flags(),
                 "{daemon}: enabled sets diverged while stepping (cycle {cycle})"
             );
         }
@@ -150,8 +150,8 @@ fn assert_fault_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S, d
         // The heart of the regression: the post-injection enabled set of
         // the incremental executor equals the full recomputation's.
         assert_eq!(
-            fast.enabled_set().as_flags(),
-            reference.enabled_set().as_flags(),
+            fast.enabled_set().to_flags(),
+            reference.enabled_set().to_flags(),
             "{daemon}: post-injection enabled set diverged (cycle {cycle}, {model})"
         );
     }

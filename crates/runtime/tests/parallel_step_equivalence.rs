@@ -174,9 +174,9 @@ fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S
                     baseline.sim.config(),
                     "{daemon}/workers={workers}: configuration diverged (cycle {cycle}, step {step})"
                 );
-                let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
+                let expected_flags = baseline.sim.enabled_set().to_flags();
                 assert_eq!(
-                    lane.sim.enabled_set().as_flags(),
+                    lane.sim.enabled_set().to_flags(),
                     expected_flags,
                     "{daemon}/workers={workers}: enabled flags diverged (cycle {cycle}, step {step})"
                 );
@@ -205,9 +205,9 @@ fn assert_parallel_equivalence<S: Scheduler>(graph: &Graph, make: impl Fn() -> S
             // The heart of the regression: mid-round injections mark dirty
             // nodes straight into per-shard queues; the maintained enabled
             // set must still match the sequential executor's.
-            let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
+            let expected_flags = baseline.sim.enabled_set().to_flags();
             assert_eq!(
-                lane.sim.enabled_set().as_flags(),
+                lane.sim.enabled_set().to_flags(),
                 expected_flags,
                 "{daemon}/workers={workers}: post-injection enabled set diverged (cycle {cycle}, {model})"
             );

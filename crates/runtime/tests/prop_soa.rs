@@ -253,7 +253,7 @@ fn assert_soa_equivalence<S: Scheduler>(
         // maintained enabled set are byte-identical across layouts after
         // every operation.
         let expected_config = baseline.sim.config_vec();
-        let expected_flags = baseline.sim.enabled_set().as_flags().to_vec();
+        let expected_flags = baseline.sim.enabled_set().to_flags();
         for lane in &mut soa_lanes {
             prop_assert_eq!(
                 lane.sim.config_vec(),
@@ -264,8 +264,8 @@ fn assert_soa_equivalence<S: Scheduler>(
                 i
             );
             prop_assert_eq!(
-                lane.sim.enabled_set().as_flags(),
-                &expected_flags[..],
+                lane.sim.enabled_set().to_flags(),
+                expected_flags,
                 "{}/{}: enabled flags diverged at op {}",
                 daemon,
                 lane.label,
